@@ -45,12 +45,17 @@ trace-smoke:
 # Exercise the live engine end to end under the race detector: a short
 # gcstress run on the real shared heap with both telemetry sinks, validated
 # by gcstats. The STW oracle inside the engine fails the run (exit 1) if any
-# cycle loses a live object.
+# cycle loses a live object. The trace must carry the final pause's phase
+# spans (final.close, final.oracle, final.identify); the gcstats check
+# verifies they nest inside their pause span.
 stress-smoke:
 	$(GO) run -race ./cmd/gcstress -duration 2s -packets 10 -packetcap 8 -roots 64 \
 		-metrics /tmp/gcstress-smoke.jsonl -trace /tmp/gcstress-smoke-trace.json
 	$(GO) run ./cmd/gcstats metrics -metrics /tmp/gcstress-smoke.jsonl
 	$(GO) run ./cmd/gcstats check -trace /tmp/gcstress-smoke-trace.json
+	@for s in final.close final.oracle final.identify; do \
+		grep -q "\"$$s\"" /tmp/gcstress-smoke-trace.json || { echo "stress-smoke: no $$s span in the trace"; exit 1; }; \
+	done
 	@rm -f /tmp/gcstress-smoke.jsonl /tmp/gcstress-smoke-trace.json
 
 # Exercise the fault-injection layer end to end under the race detector: one

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"math/bits"
 	"sync"
 	"testing"
 )
@@ -41,6 +42,13 @@ func TestWordOps(t *testing.T) {
 	if !v.Test(127) {
 		t.Fatal("OrWord(1, 1<<63) did not set bit 127")
 	}
+	if old := v.AndNotWord(0, 0b0101); old != 0b1111 {
+		t.Fatalf("AndNotWord old = %#x, want 0b1111", old)
+	}
+	if got := v.LoadWord(0); got != 0b1010 {
+		t.Fatalf("AndNotWord left %#x, want 0b1010", got)
+	}
+	v.OrWord(0, 0b0101)
 	if got := v.TakeWord(0); got != 0b1111 {
 		t.Fatalf("TakeWord = %#x, want 0b1111", got)
 	}
@@ -87,18 +95,30 @@ func TestTestAndSetAtomicConcurrent(t *testing.T) {
 }
 
 // Concurrent take-vs-or: whatever the setters set is seen by exactly one
-// TakeWord, with no lost or duplicated bits. Run with -race.
+// TakeWord, with no lost or duplicated bits. Every OR sets a bit no other OR
+// sets (setter s owns bits [16s,16s+16) of every word and visits each of its
+// 1024 (word, bit) pairs once), so a bit observed by two takes is a real
+// duplicate, not a legitimate re-set. Run with -race.
 func TestTakeWordConcurrent(t *testing.T) {
 	const (
 		words   = 64
 		setters = 4
-		rounds  = 2000
+		perWord = 64 / setters
+		ors     = words * perWord // per setter: each owned (word, bit) once
 	)
 	v := New(words * 64)
 	var wg sync.WaitGroup
-	var takenMu sync.Mutex
-	taken := make([]uint64, words) // accumulated bits observed by takers
+	taken := make([]uint64, words) // accumulated bits observed by the taker
+	takenCount := 0
 	stop := make(chan struct{})
+	take := func(w int) {
+		got := v.TakeWord(w)
+		if taken[w]&got != 0 {
+			t.Errorf("word %d: bits %#x taken twice", w, taken[w]&got)
+		}
+		taken[w] |= got
+		takenCount += bits.OnesCount64(got)
+	}
 	wg.Add(1)
 	go func() { // taker
 		defer wg.Done()
@@ -107,49 +127,45 @@ func TestTakeWordConcurrent(t *testing.T) {
 			case <-stop:
 				// Final sweep after all setters are done.
 				for w := 0; w < words; w++ {
-					bits := v.TakeWord(w)
-					takenMu.Lock()
-					if taken[w]&bits != 0 {
-						t.Errorf("word %d: bits %#x taken twice", w, taken[w]&bits)
-					}
-					taken[w] |= bits
-					takenMu.Unlock()
+					take(w)
 				}
 				return
 			default:
 			}
 			for w := 0; w < words; w++ {
-				bits := v.TakeWord(w)
-				if bits == 0 {
-					continue
-				}
-				takenMu.Lock()
-				if taken[w]&bits != 0 {
-					t.Errorf("word %d: bits %#x taken twice", w, taken[w]&bits)
-				}
-				taken[w] |= bits
-				takenMu.Unlock()
+				take(w)
 			}
 		}
 	}()
+	set := make([]uint64, words) // union of every setter's bits
+	for s := 0; s < setters; s++ {
+		for w := 0; w < words; w++ {
+			set[w] |= uint64(1<<perWord-1) << (s * perWord)
+		}
+	}
 	var swg sync.WaitGroup
 	for s := 0; s < setters; s++ {
 		swg.Add(1)
 		go func(s int) {
 			defer swg.Done()
-			for r := 0; r < rounds; r++ {
-				w := (s*rounds + r) % words
-				v.OrWord(w, 1<<(uint(s*7+r)%64))
+			for r := 0; r < ors; r++ {
+				w, b := r%words, s*perWord+r/words
+				v.OrWord(w, 1<<uint(b))
 			}
 		}(s)
 	}
 	swg.Wait()
 	close(stop)
 	wg.Wait()
-	// Every word must be fully drained.
 	for w := 0; w < words; w++ {
 		if got := v.LoadWord(w); got != 0 {
 			t.Fatalf("word %d still has bits %#x after final take", w, got)
 		}
+		if taken[w] != set[w] {
+			t.Errorf("word %d: taken %#x, set %#x", w, taken[w], set[w])
+		}
+	}
+	if want := setters * ors; takenCount != want {
+		t.Errorf("taken popcount %d, want %d (one per OR)", takenCount, want)
 	}
 }

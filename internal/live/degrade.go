@@ -364,13 +364,16 @@ func (e *Engine) escalationCheck(freed int) bool {
 
 // runEmergencyCycle is rung 2: a synchronous full collection inside one STW
 // pause. The world parks via the ordinary safepoint machinery (mutators
-// blocked in backpressure park too — their wait loop polls), the mark runs
-// to its fixpoint with closeMark (tracers keep running during pauses, so the
-// pause is still parallel), and the sweep happens before the world resumes —
+// blocked in backpressure park too — their wait loop polls), the root
+// snapshot goes straight into the final phase, and closeMark traces the
+// whole heap to its fixpoint: the driver drains the pool itself while the
+// tracers, which keep running during pauses, take packets alongside it, so
+// the pause is still parallel. The sweep happens before the world resumes —
 // the whole point is that free memory exists the moment mutators wake. The
-// STW oracle runs inside the pause like any cycle's: the emergency path is
-// held to exactly the same correctness bar. Reports false when even the
-// stopped-world fixpoint wedged (watchdog abort).
+// STW oracle and the conservation check run inside the pause like any
+// cycle's (the same final.* phase spans nest in stw.emergency): the
+// emergency path is held to exactly the same correctness bar. Reports false
+// when even the stopped-world fixpoint wedged (watchdog abort).
 func (e *Engine) runEmergencyCycle() bool {
 	drv := workpack.NewTracer(e.pool)
 	e.deg.setEmergency(e.now(), true)
@@ -388,15 +391,12 @@ func (e *Engine) runEmergencyCycle() bool {
 	e.cycleSeq.Add(1)
 	e.markingActive.Store(true)
 	e.scanRoots(drv)
-	drv.Release()
-	if !e.closeMark(drv) {
+	res, toFree, ok := e.finalPhase(drv)
+	if !ok {
 		e.deg.setEmergency(e.now(), false)
 		e.abortWedged(drv, "emergency collection")
 		return false
 	}
-	res := e.runOracle()
-	toFree := e.collectGarbage()
-	e.checkFreeConservation(len(toFree))
 	e.markingActive.Store(false)
 	e.stats.activeNs.Add(e.now() - activeStart)
 	for _, obj := range toFree {

@@ -393,6 +393,9 @@ type Engine struct {
 
 	oracleMarks *oracleScratch
 	report      Report
+
+	// garbage is collectGarbage's reused output buffer (driver-only).
+	garbage []heapsim.Addr
 }
 
 // engineFaults are the live-engine-level fault points, resolved once at
@@ -739,13 +742,11 @@ func (e *Engine) runCycle() bool {
 	// --- STW final: close the mark, run the oracle, collect garbage. ---
 	e.stopTheWorld()
 	finalStart := e.now()
-	if !e.closeMark(drv) {
+	res, toFree, ok := e.finalPhase(drv)
+	if !ok {
 		e.abortWedged(drv, "final marking phase")
 		return false
 	}
-	res := e.runOracle()
-	toFree := e.collectGarbage()
-	e.checkFreeConservation(len(toFree))
 	e.lastFreed = len(toFree)
 	e.markingActive.Store(false)
 	e.stats.activeNs.Add(e.now() - activeStart)
@@ -753,7 +754,6 @@ func (e *Engine) runCycle() bool {
 	e.resumeWorld()
 	e.noteSTW(finalStart, finalEnd)
 	e.span("stw.final", finalStart, finalEnd)
-	e.span("oracle", finalStart, finalEnd)
 
 	// --- Concurrent sweep: garbage is unreachable, so zeroing and
 	// free-listing it races with nothing. The batch push costs one CAS per
@@ -778,15 +778,42 @@ func (e *Engine) runCycle() bool {
 	return true
 }
 
+// finalPhase is the stopped-world tail shared by every cycle's STW final
+// phase and the emergency collection: close the mark, check it against the
+// oracle, then identify the garbage and verify free-list conservation. Each
+// step gets its own span (final.close, final.oracle, final.identify) nested
+// inside the caller's pause span. ok is false when closeMark wedged.
+func (e *Engine) finalPhase(drv *workpack.Tracer) (res OracleResult, toFree []heapsim.Addr, ok bool) {
+	closeStart := e.now()
+	if !e.closeMark(drv) {
+		return res, nil, false
+	}
+	oracleStart := e.now()
+	e.span("final.close", closeStart, oracleStart)
+	res = e.runOracle()
+	identifyStart := e.now()
+	e.span("final.oracle", oracleStart, identifyStart)
+	toFree = e.collectGarbage()
+	e.checkFreeConservation(len(toFree))
+	e.span("final.identify", identifyStart, e.now())
+	return res, toFree, true
+}
+
 // closeMark reaches the marking fixpoint with the world stopped: caches are
 // already published (mutators publish as they park), so deferred work, the
 // remaining dirty cards and the roots are drained in rounds until nothing
 // moves. Registration needs no mutator fence here — the world is stopped.
-// It reports false when the fixpoint made no progress for the wedge
-// deadline (e.g. a tracer holding a packet hostage keeps TracingDone false
-// forever); the caller aborts via the watchdog instead of hanging CI.
+// The driver does the tracing itself: each round it pops and scans
+// everything it pushed or can take from the pool, charging the scans as
+// dedicated work. It only waits — by yielding, never by sleeping — while a
+// tracer still holds packets; a timer nap on an otherwise idle process
+// stretches toward a millisecond and would dominate the pause. It reports
+// false when the fixpoint made no progress for the wedge deadline (e.g. a
+// tracer holding a packet hostage keeps TracingDone false forever); the
+// caller aborts via the watchdog instead of hanging CI.
 func (e *Engine) closeMark(drv *workpack.Tracer) bool {
 	watch := e.newWedgeWatch()
+	led := e.tracerLedger(0)
 	for {
 		work := false
 		if e.pool.DrainDeferred() > 0 {
@@ -801,14 +828,28 @@ func (e *Engine) closeMark(drv *workpack.Tracer) bool {
 			e.arena.Cards.NoteCleanedAtomic(len(e.cardBuf))
 		}
 		e.scanRoots(drv)
-		drv.Release()
+		// Publish what the round pushed, then trace until the pool is dry:
+		// the driver's own output packet only becomes poppable once
+		// released, so every batch goes back through the pool.
+		for {
+			drv.Release()
+			a, ok := drv.Pop()
+			if !ok {
+				break
+			}
+			for ; ok; a, ok = drv.Pop() {
+				if e.scanObject(a, drv) {
+					e.chargeScan(led, false)
+				}
+			}
+		}
 		if !e.pool.TracingDone() || !e.pool.DeferredEmpty() {
-			// Tracers are still running during the pause; let them drain —
-			// but not forever.
+			// A tracer is mid-packet (or work was just deferred): yield to
+			// it and go round again — but not forever.
 			if watch.stalled() {
 				return false
 			}
-			time.Sleep(20 * time.Microsecond)
+			runtime.Gosched()
 			continue
 		}
 		if !work && e.arena.Cards.CountDirtyAtomic() == 0 {
@@ -1088,21 +1129,13 @@ func (e *Engine) traceLoop(id int, bg bool) {
 		}
 		e.fi.tracerStall.Stall()
 		if e.scanObject(a, tr) {
-			words := int64(e.arena.refsPer)
-			led.NoteTraced(words)
-			if bg {
-				e.stats.traceBgWords.Add(words)
-				if e.pacer != nil {
-					e.pacer.noteBackground(1)
-				}
-			} else {
-				e.stats.traceDedicatedWords.Add(words)
-				if e.pacer != nil {
-					e.pacer.noteTraced(1)
-				}
-			}
+			e.chargeScan(led, bg)
 		}
 		if bg {
+			// Hand the packets back before napping: a throttled tracer
+			// sitting on its in/out packets would keep TracingDone false
+			// (and the work invisible to everyone else) for the whole nap.
+			tr.Release()
 			time.Sleep(e.bgSleep(e.cfg.BgThrottle / 4))
 		}
 	}
@@ -1114,6 +1147,27 @@ func (e *Engine) traceLoop(id int, bg bool) {
 	tr.DrainHoard()
 	if lp != nil {
 		lp.Flush()
+	}
+}
+
+// chargeScan attributes one scanned object to the tracing goroutine that
+// scanned it: its ledger, the dedicated or background word counter, and the
+// pacer's progress. The driver's own scans in closeMark are charged as
+// dedicated work to tracer d0's ledger, so the per-party words still sum to
+// scans times the per-object slot count.
+func (e *Engine) chargeScan(led *workpack.Ledger, bg bool) {
+	words := int64(e.arena.refsPer)
+	led.NoteTraced(words)
+	if bg {
+		e.stats.traceBgWords.Add(words)
+		if e.pacer != nil {
+			e.pacer.noteBackground(1)
+		}
+	} else {
+		e.stats.traceDedicatedWords.Add(words)
+		if e.pacer != nil {
+			e.pacer.noteTraced(1)
+		}
 	}
 }
 

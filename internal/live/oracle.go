@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"mcgc/internal/bitvec"
@@ -74,24 +75,32 @@ func (e *Engine) runOracle() OracleResult {
 		}
 	}
 
+	// Compare a word at a time: r is reachable, m concurrently marked, a
+	// allocated. Floating garbage is a popcount; only the bits that break an
+	// invariant (reachable but unmarked, or lacking an allocation bit while
+	// reachable or marked) take the per-object path.
 	res := OracleResult{Live: live}
 	hadViolations := len(e.report.Violations)
-	for a := 1; a <= e.arena.numObjects; a++ {
-		reachable := sc.marks.Test(a)
-		marked := e.arena.Mark.Test(a)
-		switch {
-		case reachable && !marked:
-			res.Lost++
-			e.violation("cycle %d: live object %d not marked by concurrent trace (%s)",
-				e.report.Cycles, a, e.describeObject(heapsim.Addr(a)))
-		case reachable && !e.arena.Alloc.Test(a):
-			e.violation("cycle %d: live object %d has no allocation bit (%s)",
-				e.report.Cycles, a, e.describeObject(heapsim.Addr(a)))
-		case marked && !reachable:
-			res.Floating++
-			if !e.arena.Alloc.Test(a) {
+	for w := 0; w < sc.marks.Words(); w++ {
+		r, m, a := sc.marks.LoadWord(w), e.arena.Mark.LoadWord(w), e.arena.Alloc.LoadWord(w)
+		if w == 0 {
+			r, m = r&^1, m&^1 // bit 0 is nil
+		}
+		res.Floating += bits.OnesCount64(m &^ r)
+		for bad := r&^m | r&m&^a | m&^r&^a; bad != 0; bad &= bad - 1 {
+			bit := bad & -bad
+			obj := w<<6 + bits.TrailingZeros64(bad)
+			switch {
+			case r&^m&bit != 0:
+				res.Lost++
+				e.violation("cycle %d: live object %d not marked by concurrent trace (%s)",
+					e.report.Cycles, obj, e.describeObject(heapsim.Addr(obj)))
+			case r&bit != 0:
+				e.violation("cycle %d: live object %d has no allocation bit (%s)",
+					e.report.Cycles, obj, e.describeObject(heapsim.Addr(obj)))
+			default:
 				e.violation("cycle %d: marked object %d has no allocation bit (%s)",
-					e.report.Cycles, a, e.describeObject(heapsim.Addr(a)))
+					e.report.Cycles, obj, e.describeObject(heapsim.Addr(obj)))
 			}
 		}
 	}
@@ -139,16 +148,28 @@ func (e *Engine) oracleContext() string {
 }
 
 // collectGarbage lists every allocated, unmarked object and retracts its
-// allocation bit, still under the stopped world. The returned objects are
-// unreachable by construction, so the caller frees them concurrently.
+// allocation bit, still under the stopped world. It works a word at a time:
+// Alloc &^ Mark is 64 objects' garbage verdict in one op, and one atomic
+// and-not retracts them all. The returned objects are ascending and
+// unreachable by construction, so the caller frees them concurrently. The
+// slice is the engine's reused garbage buffer: valid until the next call.
 func (e *Engine) collectGarbage() []heapsim.Addr {
-	var toFree []heapsim.Addr
-	for a := 1; a <= e.arena.numObjects; a++ {
-		if e.arena.Alloc.Test(a) && !e.arena.Mark.Test(a) {
-			e.arena.Alloc.Clear(a)
-			toFree = append(toFree, heapsim.Addr(a))
+	toFree := e.garbage[:0]
+	alloc, mark := e.arena.Alloc, e.arena.Mark
+	for w := 0; w < alloc.Words(); w++ {
+		g := alloc.LoadWord(w) &^ mark.LoadWord(w)
+		if w == 0 {
+			g &^= 1 // bit 0 is nil
+		}
+		if g == 0 {
+			continue
+		}
+		alloc.AndNotWord(w, g)
+		for ; g != 0; g &= g - 1 {
+			toFree = append(toFree, heapsim.Addr(w<<6+bits.TrailingZeros64(g)))
 		}
 	}
+	e.garbage = toFree
 	return toFree
 }
 
