@@ -12,7 +12,7 @@ RACE_PKGS = ./internal/runner ./internal/workpack ./internal/weakmem ./internal/
 
 .PHONY: ci vet build test race smoke trace-smoke stress-smoke chaos-smoke pacing-smoke balance-smoke balance-bench serve-smoke serve-bench overload-smoke overload-bench slo-smoke distill-smoke distill-bench bench fmt
 
-ci: vet build test race smoke trace-smoke stress-smoke chaos-smoke pacing-smoke balance-smoke serve-smoke overload-smoke slo-smoke distill-smoke
+ci: fmt vet build test race smoke trace-smoke stress-smoke chaos-smoke pacing-smoke balance-smoke serve-smoke overload-smoke slo-smoke distill-smoke
 
 vet:
 	$(GO) vet ./...
@@ -108,8 +108,8 @@ pacing-smoke:
 # Exercise the per-tracer work-flow accounting end to end, in two legs.
 # Leg 1 puts the accounting itself under the race detector: a paced gcstress
 # run at 8 tracers (plus a background tracer and mutator-tax workers) with
-# both sinks attached; gcstats -balance must report the skew and termination
-# fields, and -check must accept the per-worker trace tracks (proper nesting,
+# both sinks attached; gcstats balance must report the skew and termination
+# fields, and gcstats check must accept the per-worker trace tracks (proper nesting,
 # one worker per track). Leg 2 is the hoard A/B gate on the regular binary —
 # the race detector's ~10x slowdown would drown the microsecond-scale
 # termination timing — three fixed seeds per arm cat'ed into one file, then
@@ -166,7 +166,7 @@ balance-bench:
 # gcserve run (closed-loop clients with Zipfian skew and churn driving the
 # sharded store on the live heap) that must complete real requests
 # (-min-ops), keep the request accounting identity, and pass the per-cycle
-# STW oracle; gcstats -latency must then reduce the metrics to throughput,
+# STW oracle; gcstats latency must then reduce the metrics to throughput,
 # the latency tail and the pause correlation.
 serve-smoke:
 	$(GO) run -race ./cmd/gcserve -clients 16 -duration 2s -objects 32768 \
@@ -204,7 +204,7 @@ serve-bench:
 # 10% headroom watermark. -require-degraded fails the run unless load was
 # actually shed AND an emergency collection actually ran, -require-faults
 # fails it unless the amplifier fired, the STW oracle fails it on any lost
-# object, and the watchdog must never trip. gcstats -degradation must then
+# object, and the watchdog must never trip. gcstats degradation must then
 # reduce the metrics to the time-in-state ladder view.
 OVERLOAD_LADDER = -ladder -bp-wait 2ms -emergency-min 16384 -emergency-after 1 \
 	-admission -shed-watermark 0.10

@@ -4,7 +4,7 @@
 // skew, a configurable read/write mix, phase-locked request bursts and
 // connection churn (internal/server). Every request is timed; the run's
 // server.req_ns latency histogram and server.* counters land in the metrics
-// JSONL next to the collector's own counters, and gcstats -latency reads
+// JSONL next to the collector's own counters, and gcstats latency reads
 // them back to correlate GC pauses with request-latency tails.
 //
 // The per-cycle STW oracle stays armed: a run that loses a live store entry
@@ -96,7 +96,6 @@ func main() {
 	// helper so the same spellings mean the same thing in both CLIs.
 	common := live.BindCommonFlags(flag.CommandLine, false)
 	flag.Parse()
-	common.PrintHints(os.Stderr, "gcserve")
 
 	if *chaos == "list" {
 		for _, line := range faultinject.Sites() {

@@ -10,7 +10,7 @@ import (
 	"mcgc/internal/stats"
 )
 
-// The -balance view reduces the trace.worker.* counter families and the
+// The balance view reduces the trace.worker.* counter families and the
 // trace.term_latency_ns gauge to the Section 6.3 load-balancing quantities:
 // per-worker work flow, the skew of traced words across parallel tracers
 // (max/mean and Gini), the idle fraction of the concurrent-mark phase, the
@@ -109,7 +109,7 @@ func workerRows(counters map[string]int64) []workerRow {
 	return out
 }
 
-// balanceReport is one run's reduction; -balance renders it as text, -json as
+// balanceReport is one run's reduction; balance renders it as text, -json as
 // a machine-readable record (the balance-bench sweep collects those).
 type balanceReport struct {
 	Run       string      `json:"run"`

@@ -12,10 +12,6 @@
 //	gcstats check-hoard -metrics m.jsonl       # clean vs pool.hoard runs must separate
 //	gcstats check -trace t.json                # validate the Chrome trace (CI smoke)
 //
-// The pre-subcommand spellings (gcstats -metrics m.jsonl -balance, ...)
-// still parse; they print a one-line migration hint to stderr, the same
-// deprecated-alias convention the pacing flag vocabulary uses.
-//
 // The metrics report is computed entirely from the JSONL stream: pause
 // percentiles from the gc.pause_ns gauge, MMU from the same samples plus
 // the run.vtime_ns counter, and the tracing-rate trajectory from the
@@ -196,104 +192,27 @@ func usage(w *os.File) {
 }
 
 func main() {
-	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
-		name, args := os.Args[1], os.Args[2:]
-		if name == "help" {
-			usage(os.Stdout)
-			return
-		}
-		sub, ok := subcommands[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "gcstats: unknown subcommand %q\n", name)
-			usage(os.Stderr)
-			os.Exit(2)
-		}
-		if err := sub.run(args); err != nil {
-			fmt.Fprintf(os.Stderr, "gcstats: %v\n", err)
-			if _, isUsage := err.(usageError); isUsage {
-				os.Exit(2)
-			}
-			os.Exit(1)
-		}
-		return
-	}
-	legacyMain()
-}
-
-// legacyMain parses the pre-subcommand flag spellings (-balance, -latency,
-// -check, ...) and forwards to the same view runners, printing a migration
-// hint per deprecated mode flag actually used — the same convention the
-// pacing vocabulary's deprecated aliases follow (pacing.Flags.PrintHints).
-func legacyMain() {
-	var (
-		metricsFlag    = flag.String("metrics", "", "JSONL metrics file written by gcbench -metrics")
-		traceFlag      = flag.String("trace", "", "Chrome trace file written by gcbench -trace")
-		checkFlag      = flag.Bool("check", false, "deprecated: use \"gcstats check -trace FILE\"")
-		balanceFlag    = flag.Bool("balance", false, "deprecated: use \"gcstats balance -metrics FILE\"")
-		latencyFlag    = flag.Bool("latency", false, "deprecated: use \"gcstats latency -metrics FILE\"")
-		degradeFlag    = flag.Bool("degradation", false, "deprecated: use \"gcstats degradation -metrics FILE\"")
-		jsonFlag       = flag.Bool("json", false, "with -balance, -latency or -degradation: emit one JSON object per run")
-		checkHoardFlag = flag.Bool("check-hoard", false, "deprecated: use \"gcstats check-hoard -metrics FILE\"")
-		runFlag        = flag.String("run", "", "only report runs whose name contains this substring")
-	)
-	flag.Usage = func() { usage(os.Stderr) }
-	flag.Parse()
-
-	hint := func(new string) {
-		fmt.Fprintf(os.Stderr, "gcstats: flag spelling deprecated; use: gcstats %s\n", new)
-	}
-	fail := func(err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gcstats: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	switch {
-	case *checkFlag:
-		if *traceFlag == "" {
-			fmt.Fprintln(os.Stderr, "gcstats: -check needs -trace FILE")
-			os.Exit(2)
-		}
-		hint("check -trace FILE")
-		if err := checkTrace(*traceFlag); err != nil {
-			fail(fmt.Errorf("trace check failed: %v", err))
-		}
-	case *checkHoardFlag:
-		if *metricsFlag == "" {
-			fmt.Fprintln(os.Stderr, "gcstats: -check-hoard needs -metrics FILE")
-			os.Exit(2)
-		}
-		hint("check-hoard -metrics FILE")
-		if err := checkHoard(*metricsFlag); err != nil {
-			fail(fmt.Errorf("hoard check failed: %v", err))
-		}
-	case *latencyFlag:
-		if *metricsFlag == "" {
-			fmt.Fprintln(os.Stderr, "gcstats: -latency needs -metrics FILE")
-			os.Exit(2)
-		}
-		hint("latency -metrics FILE")
-		fail(latency(*metricsFlag, *runFlag, *jsonFlag))
-	case *degradeFlag:
-		if *metricsFlag == "" {
-			fmt.Fprintln(os.Stderr, "gcstats: -degradation needs -metrics FILE")
-			os.Exit(2)
-		}
-		hint("degradation -metrics FILE")
-		fail(degradation(*metricsFlag, *runFlag, *jsonFlag))
-	case *balanceFlag:
-		if *metricsFlag == "" {
-			fmt.Fprintln(os.Stderr, "gcstats: -balance needs -metrics FILE")
-			os.Exit(2)
-		}
-		hint("balance -metrics FILE")
-		fail(balance(*metricsFlag, *runFlag, *jsonFlag))
-	case *metricsFlag != "":
-		hint("metrics -metrics FILE")
-		fail(report(*metricsFlag, *runFlag))
-	default:
+	if len(os.Args) < 2 {
 		usage(os.Stderr)
 		os.Exit(2)
+	}
+	name, args := os.Args[1], os.Args[2:]
+	if name == "help" || name == "-h" || name == "-help" || name == "--help" {
+		usage(os.Stdout)
+		return
+	}
+	sub, ok := subcommands[name]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "gcstats: unknown subcommand %q\n", name)
+		usage(os.Stderr)
+		os.Exit(2)
+	}
+	if err := sub.run(args); err != nil {
+		fmt.Fprintf(os.Stderr, "gcstats: %v\n", err)
+		if _, isUsage := err.(usageError); isUsage {
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
 }
 
@@ -501,7 +420,8 @@ func faultCounters(counters map[string]int64) []faultCounter {
 	return out
 }
 
-// traceFile mirrors the subset of the trace_event schema -check inspects.
+// traceFile mirrors the subset of the trace_event schema the check
+// subcommand inspects.
 type traceFile struct {
 	TraceEvents []struct {
 		Ph   string         `json:"ph"`
@@ -514,7 +434,7 @@ type traceFile struct {
 	} `json:"traceEvents"`
 }
 
-// span is one complete ("X") event during -check validation.
+// span is one complete ("X") event during check validation.
 type span struct {
 	name     string
 	ts, dur  float64

@@ -67,7 +67,6 @@ func main() {
 	// pacing word unit for the live engine is one object.
 	common := live.BindCommonFlags(flag.CommandLine, false)
 	flag.Parse()
-	common.PrintHints(os.Stderr, "gcstress")
 
 	if *chaos == "list" {
 		for _, line := range faultinject.Sites() {

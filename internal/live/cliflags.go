@@ -3,7 +3,6 @@ package live
 import (
 	"flag"
 	"fmt"
-	"io"
 	"strings"
 
 	"mcgc/internal/faultinject"
@@ -49,8 +48,6 @@ type CommonFlags struct {
 	Distill     bool
 	DistillMult int
 	DistillJSON string
-
-	pf *pacing.Flags
 }
 
 // BindCommonFlags registers the shared vocabulary on fs. pacingDefault is
@@ -72,7 +69,7 @@ func BindCommonFlags(fs *flag.FlagSet, pacingDefault bool) *CommonFlags {
 	fs.BoolVar(&cf.Distill, "distill", false, "after the measured run, re-run the same seeded workload with collection disabled and report the distilled collector cost")
 	fs.IntVar(&cf.DistillMult, "distill-mult", 4, "baseline arena headroom for -distill: arena objects plus this many times the real run's allocations (sized to never collect)")
 	fs.StringVar(&cf.DistillJSON, "distill-json", "", "append the distilled-cost record as one JSON line to this file")
-	cf.pf = pacing.Bind(fs, &cf.Pacing)
+	pacing.Bind(fs, &cf.Pacing)
 	return cf
 }
 
@@ -102,12 +99,6 @@ func (cf *CommonFlags) RunName(fallback string) string {
 		return cf.Name
 	}
 	return fallback
-}
-
-// PrintHints forwards the pacing vocabulary's deprecated-alias migration
-// hints (call after Parse, before using the values).
-func (cf *CommonFlags) PrintHints(w io.Writer, prog string) {
-	cf.pf.PrintHints(w, prog)
 }
 
 // String renders the sharding knobs for debug output.

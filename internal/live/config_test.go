@@ -67,36 +67,6 @@ func TestValidateJoinsAllProblems(t *testing.T) {
 	}
 }
 
-func TestConfigConstructors(t *testing.T) {
-	pc := pacing.Config{K0: 6}
-	sc := pacing.SLOConfig{Target: 2 * time.Millisecond}
-	plan := (*Config)(nil) // placeholder to keep the imports honest
-	_ = plan
-	cfg := Config{Objects: 1 << 10, Mutators: 1, Tracers: 1, Duration: time.Millisecond}.
-		WithSharding(4, 2, 16).
-		WithFormulaPacing(pc).
-		WithSLOPacing(sc).
-		WithLadder(LadderConfig{Enabled: true, EmergencyAfter: 3})
-	if cfg.LocalCache != 4 || cfg.FreeShards != 2 || cfg.CardBuffer != 16 {
-		t.Fatalf("sharding options not applied: %+v", cfg.ShardingOptions)
-	}
-	if cfg.Pacing == nil || cfg.Pacing.K0 != 6 {
-		t.Fatalf("formula pacing not applied: %+v", cfg.PacingOptions)
-	}
-	if cfg.SLO == nil || cfg.SLO.Target != 2*time.Millisecond {
-		t.Fatalf("slo pacing not applied: %+v", cfg.PacingOptions)
-	}
-	if !cfg.Ladder.Enabled || cfg.Ladder.EmergencyAfter != 3 {
-		t.Fatalf("ladder options not applied: %+v", cfg.LadderOptions)
-	}
-	// Field promotion must keep the flat spellings working: these are the
-	// compatibility guarantees the option-struct refactor preserves.
-	cfg.LocalCache = 8
-	if cfg.ShardingOptions.LocalCache != 8 {
-		t.Fatal("flat field write did not reach the embedded struct")
-	}
-}
-
 func TestNewEnginePanicsOnInvalidConfig(t *testing.T) {
 	defer func() {
 		r := recover()

@@ -247,7 +247,7 @@ func (m *mutator) backpressureRefill() bool {
 	e.memPressure.Store(true)
 	start := time.Now()
 	e.deg.enterWait(e.now())
-	e.stats.backpressureWaits.Add(1)
+	e.stats.BackpressureWaits.Add(1)
 	ok := false
 	deadline := start.Add(lad.BackpressureWait)
 	nap := lad.BackoffBase
@@ -267,7 +267,7 @@ func (m *mutator) backpressureRefill() bool {
 		}
 		e.memPressure.Store(true)
 		if time.Now().After(deadline) {
-			e.stats.backpressureTimeouts.Add(1)
+			e.stats.BackpressureTimeouts.Add(1)
 			break
 		}
 		time.Sleep(nap)
@@ -276,7 +276,7 @@ func (m *mutator) backpressureRefill() bool {
 		}
 	}
 	stall := time.Since(start).Nanoseconds()
-	e.stats.backpressureNs.Add(stall)
+	e.stats.BackpressureTotal.Add(stall)
 	e.deg.exitWait(e.now(), stall)
 	return ok
 }
@@ -287,32 +287,9 @@ func (m *mutator) backpressureRefill() bool {
 // collector *is* helping the collector. Not feeding the B window is
 // deliberate — nothing was allocated.
 func (e *Engine) payPressureTax(m *mutator) {
-	b := e.pacer.pressureBudget(int64(e.cfg.AllocBatch))
-	if b.Words <= 0 {
-		return
+	if b := e.pacer.pressureBudget(int64(e.cfg.AllocBatch)); b.Words > 0 {
+		e.pacer.endIncrement(e.repayTax(m, b.Words))
 	}
-	var tr *workpack.Tracer
-	if m.local != nil {
-		tr = workpack.NewLocalTracer(m.local)
-	} else {
-		tr = workpack.NewTracer(e.pool)
-	}
-	led := e.mutatorLedger(m.id)
-	tr.SetLedger(led)
-	var done int64
-	for done < b.Words {
-		a, ok := tr.Pop()
-		if !ok {
-			break
-		}
-		if e.scanObject(a, tr) {
-			led.NoteTraced(int64(e.arena.refsPer))
-			e.stats.traceMutatorWords.Add(int64(e.arena.refsPer))
-			done++
-		}
-	}
-	tr.Release()
-	e.pacer.endIncrement(done)
 }
 
 // amplifyAlloc is the live.overload fault's payload: burn one extra
@@ -331,10 +308,7 @@ func (m *mutator) amplifyAlloc() {
 			return
 		}
 	}
-	m.pending = append(m.pending, extra...)
-	if len(m.pending) >= m.e.cfg.AllocBatch {
-		m.publish()
-	}
+	m.enqueue(extra...)
 }
 
 // escalationCheck is the driver's rung-2 trigger, evaluated after every
@@ -346,7 +320,7 @@ func (e *Engine) escalationCheck(freed int) bool {
 	if !e.cfg.Ladder.Enabled {
 		return false
 	}
-	timeouts := e.stats.backpressureTimeouts.Load()
+	timeouts := e.stats.BackpressureTimeouts.Load()
 	timedOut := timeouts > e.lastBPTimeouts
 	e.lastBPTimeouts = timeouts
 	pressured := timedOut || e.memPressure.Load() || e.deg.activeWaiters() > 0
@@ -383,14 +357,7 @@ func (e *Engine) runEmergencyCycle() bool {
 
 	// Fresh snapshot, exactly like STW init — but nothing resumes until the
 	// heap has free memory again.
-	e.arena.Mark.ClearAll()
-	e.arena.Cards.RegisterAndClearAtomic(e.cardBuf[:0])
-	e.cycleScanBase.Store(e.stats.scans.Load())
-	e.firstDoneNs.Store(0)
-	activeStart := e.now()
-	e.cycleSeq.Add(1)
-	e.markingActive.Store(true)
-	e.scanRoots(drv)
+	activeStart := e.beginMark(drv)
 	res, toFree, ok := e.finalPhase(drv)
 	if !ok {
 		e.deg.setEmergency(e.now(), false)
@@ -398,12 +365,8 @@ func (e *Engine) runEmergencyCycle() bool {
 		return false
 	}
 	e.markingActive.Store(false)
-	e.stats.activeNs.Add(e.now() - activeStart)
-	for _, obj := range toFree {
-		e.arena.ZeroSlots(obj)
-	}
-	e.arena.PushFreeAll(toFree)
-	e.stats.objectsFreed.Add(int64(len(toFree)))
+	e.stats.TracerActiveTotal.Add(e.now() - activeStart)
+	e.sweep(toFree)
 	if len(toFree) > 0 {
 		// The pressure that forced the escalation is answered; don't let a
 		// stale flag immediately kick the next cycle.
@@ -412,7 +375,7 @@ func (e *Engine) runEmergencyCycle() bool {
 	pauseEnd := e.now()
 	e.resumeWorld()
 	e.deg.setEmergency(e.now(), false)
-	e.stats.emergencyCycles.Add(1)
+	e.stats.EmergencyCycles.Add(1)
 	e.noteSTW(pauseStart, pauseEnd)
 	e.span("stw.emergency", pauseStart, pauseEnd)
 	e.noteCycle(res, len(toFree), pauseEnd)

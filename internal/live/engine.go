@@ -103,8 +103,7 @@ type ObserveOptions struct {
 // (sharding, pacing, ladder, faults, observation); their fields are
 // promoted, so cfg.LocalCache and friends read and assign exactly as
 // before — only composite literals name the group. Validate checks the
-// whole config with one error vocabulary; the With* constructors build the
-// groups field-by-field for callers that predate them.
+// whole config with one error vocabulary.
 type Config struct {
 	Objects         int // arena size in objects
 	RefsPerObject   int // reference slots per object
@@ -143,44 +142,6 @@ type Config struct {
 	LadderOptions
 	FaultOptions
 	ObserveOptions
-}
-
-// WithSharding returns a copy of c with the sharding knobs set.
-func (c Config) WithSharding(localCache, freeShards, cardBuffer int) Config {
-	c.ShardingOptions = ShardingOptions{LocalCache: localCache, FreeShards: freeShards, CardBuffer: cardBuffer}
-	return c
-}
-
-// WithFormulaPacing returns a copy of c paced by the Section 3 formula. An
-// SLO target set by WithSLOPacing survives (and wins: the formula becomes
-// its floor), so the two constructors compose in either order.
-func (c Config) WithFormulaPacing(pc pacing.Config) Config {
-	c.PacingOptions.Pacing = &pc
-	return c
-}
-
-// WithSLOPacing returns a copy of c paced by the SLO controller.
-func (c Config) WithSLOPacing(sc pacing.SLOConfig) Config {
-	c.PacingOptions.SLO = &sc
-	return c
-}
-
-// WithLadder returns a copy of c with the degradation ladder configured.
-func (c Config) WithLadder(l LadderConfig) Config {
-	c.LadderOptions = LadderOptions{Ladder: l}
-	return c
-}
-
-// WithFaults returns a copy of c with the fault plan and watchdog set.
-func (c Config) WithFaults(plan *faultinject.Plan, wedgeTimeout time.Duration) Config {
-	c.FaultOptions = FaultOptions{Faults: plan, WedgeTimeout: wedgeTimeout}
-	return c
-}
-
-// WithSinks returns a copy of c with the telemetry sinks attached.
-func (c Config) WithSinks(reg *telemetry.Registry, tl *telemetry.Timeline) Config {
-	c.ObserveOptions = ObserveOptions{Reg: reg, TL: tl}
-	return c
 }
 
 // pacingEnabled reports whether this run paces allocation at all: some
@@ -340,7 +301,6 @@ type Engine struct {
 	muts    []*mutator
 	wg      sync.WaitGroup
 	extWG   sync.WaitGroup
-	start   time.Time
 	stats   engineStats
 	cardBuf []int
 
@@ -348,6 +308,9 @@ type Engine struct {
 	// store's per-shard bucket heads), registered via NewRootSet before Run.
 	extraRoots []*RootSet
 	running    atomic.Bool
+	// origin is t=0 of the run's clock, published when Run starts; external
+	// mutators may read the clock (via now) before that.
+	origin atomic.Pointer[time.Time]
 
 	// localCap is the resolved per-worker packet cache capacity (0 when the
 	// local tier is disabled); cardBufCap likewise for the write-barrier
@@ -538,13 +501,20 @@ func (e *Engine) PacingPolicy() pacing.Policy {
 	return e.pacer.policy()
 }
 
-func (e *Engine) now() int64 { return time.Since(e.start).Nanoseconds() }
+// now is the nanoseconds since Run started, 0 before it has.
+func (e *Engine) now() int64 {
+	if t := e.origin.Load(); t != nil {
+		return time.Since(*t).Nanoseconds()
+	}
+	return 0
+}
 
 // Run executes the workload for cfg.Duration — collection cycles separated
 // by mutator-only idle periods — then shuts every goroutine down and
 // returns the report. Run blocks; it is not reentrant.
 func (e *Engine) Run() Report {
-	e.start = time.Now()
+	start := time.Now()
+	e.origin.Store(&start)
 	e.running.Store(true)
 	e.setupTelemetry()
 
@@ -566,14 +536,11 @@ func (e *Engine) Run() Report {
 		go e.traceLoop(e.cfg.Tracers+i, true)
 	}
 
-	deadline := e.start.Add(e.cfg.Duration)
+	deadline := start.Add(e.cfg.Duration)
 	if e.cfg.DisableCollection {
-		// Distillation baseline: the collector never runs. Mutators churn
-		// uninterrupted until the deadline; allocation pressure has nothing
-		// to kick, so idleWait's early return just re-enters the wait.
-		for !time.Now().After(deadline) {
-			e.idleWait()
-		}
+		// Distillation baseline: the collector never runs, so mutators
+		// churn uninterrupted until the deadline.
+		time.Sleep(time.Until(deadline))
 		e.shutdown.Store(true)
 		e.wg.Wait()
 		e.extWG.Wait()
@@ -621,7 +588,7 @@ func (e *Engine) idleWait() {
 	deadline := time.Now().Add(e.cfg.IdlePeriod)
 	for {
 		if e.memPressure.Swap(false) {
-			e.stats.pressureKicks.Add(1)
+			e.stats.PressureKicks.Add(1)
 			return
 		}
 		if !time.Now().Before(deadline) {
@@ -640,11 +607,11 @@ func (e *Engine) idleWait() {
 func (e *Engine) kickoffWait(deadline time.Time) {
 	for {
 		if e.memPressure.Swap(false) {
-			e.stats.pressureKicks.Add(1)
+			e.stats.PressureKicks.Add(1)
 			return
 		}
 		if e.pacer.kickoff(e.now()) {
-			e.stats.kickoffs.Add(1)
+			e.stats.Kickoffs.Add(1)
 			return
 		}
 		if !time.Now().Before(deadline) {
@@ -673,14 +640,7 @@ func (e *Engine) runCycle() bool {
 	// --- STW init: snapshot the roots under a stopped world. ---
 	e.stopTheWorld()
 	initStart := e.now()
-	e.arena.Mark.ClearAll()
-	e.arena.Cards.RegisterAndClearAtomic(e.cardBuf[:0]) // drop stale dirt
-	e.cycleScanBase.Store(e.stats.scans.Load())
-	e.firstDoneNs.Store(0)
-	activeStart := e.now()
-	e.cycleSeq.Add(1)
-	e.markingActive.Store(true)
-	e.scanRoots(drv)
+	activeStart := e.beginMark(drv)
 	drv.Release()
 	initEnd := e.now()
 	e.resumeWorld()
@@ -694,7 +654,7 @@ func (e *Engine) runCycle() bool {
 	for {
 		if !e.pool.DeferredEmpty() {
 			e.pool.DrainDeferred()
-			e.stats.deferredDrains.Add(1)
+			e.stats.DeferredDrains.Add(1)
 			// Recirculated work re-opens the cycle: the next dry spell is a
 			// fresh termination-detection interval.
 			e.firstDoneNs.Store(0)
@@ -734,7 +694,7 @@ func (e *Engine) runCycle() bool {
 		}
 	}
 	markEnd := e.now()
-	e.stats.markNs.Add(markEnd - initEnd)
+	e.stats.MarkTotal.Add(markEnd - initEnd)
 	e.span("mark.concurrent", initEnd, markEnd)
 	e.noteTermLatency(markEnd)
 	e.flushWorkerCycle(cycleStart, markEnd)
@@ -749,22 +709,17 @@ func (e *Engine) runCycle() bool {
 	}
 	e.lastFreed = len(toFree)
 	e.markingActive.Store(false)
-	e.stats.activeNs.Add(e.now() - activeStart)
+	e.stats.TracerActiveTotal.Add(e.now() - activeStart)
 	finalEnd := e.now()
 	e.resumeWorld()
 	e.noteSTW(finalStart, finalEnd)
 	e.span("stw.final", finalStart, finalEnd)
 
-	// --- Concurrent sweep: garbage is unreachable, so zeroing and
-	// free-listing it races with nothing. The batch push costs one CAS per
-	// free-list shard instead of one per object. ---
-	for _, obj := range toFree {
-		e.arena.ZeroSlots(obj)
-	}
-	e.arena.PushFreeAll(toFree)
-	e.stats.objectsFreed.Add(int64(len(toFree)))
+	// --- Concurrent sweep: garbage is unreachable, so it races with
+	// nothing. ---
+	e.sweep(toFree)
 	sweepEnd := e.now()
-	e.stats.sweepNs.Add(sweepEnd - finalEnd)
+	e.stats.SweepTotal.Add(sweepEnd - finalEnd)
 	e.span("sweep", finalEnd, sweepEnd)
 	e.span("cycle", cycleStart, sweepEnd)
 	e.noteCycle(res, len(toFree), sweepEnd)
@@ -776,6 +731,33 @@ func (e *Engine) runCycle() bool {
 		e.pacer.endCycle(cleaned * cardtable.CardWords)
 	}
 	return true
+}
+
+// beginMark is the stopped-world start of every collection, concurrent or
+// emergency: clear the marks, drop stale card dirt, open a new cycle for the
+// termination clock and the idle ledgers, turn the write barrier on and
+// snapshot the roots into drv. It returns the start of the markingActive
+// window.
+func (e *Engine) beginMark(drv *workpack.Tracer) (activeStart int64) {
+	e.arena.Mark.ClearAll()
+	e.arena.Cards.RegisterAndClearAtomic(e.cardBuf[:0])
+	e.cycleScanBase.Store(e.stats.Scans.Load())
+	e.firstDoneNs.Store(0)
+	activeStart = e.now()
+	e.cycleSeq.Add(1)
+	e.markingActive.Store(true)
+	e.scanRoots(drv)
+	return activeStart
+}
+
+// sweep zeroes the garbage and returns it to the free list. The batch push
+// costs one CAS per free-list shard instead of one per object.
+func (e *Engine) sweep(toFree []heapsim.Addr) {
+	for _, obj := range toFree {
+		e.arena.ZeroSlots(obj)
+	}
+	e.arena.PushFreeAll(toFree)
+	e.stats.ObjectsFreed.Add(int64(len(toFree)))
 }
 
 // finalPhase is the stopped-world tail shared by every cycle's STW final
@@ -877,7 +859,7 @@ func (e *Engine) cardPassConcurrent(drv *workpack.Tracer) (cleaned, ok bool) {
 	}
 	e.arena.Cards.NoteCleanedAtomic(len(e.cardBuf))
 	drv.Release()
-	e.stats.cardPasses.Add(1)
+	e.stats.CardPasses.Add(1)
 	return true, true
 }
 
@@ -895,7 +877,7 @@ func (e *Engine) rescanCard(card int, tr *workpack.Tracer) {
 		}
 		if !e.arena.Alloc.TestAcquire(int(a)) {
 			e.arena.Cards.DirtyCardAtomic(card)
-			e.stats.rescanRedirty.Add(1)
+			e.stats.RescanRedirties.Add(1)
 			continue
 		}
 		for j := 0; j < e.arena.refsPer; j++ {
@@ -903,7 +885,7 @@ func (e *Engine) rescanCard(card int, tr *workpack.Tracer) {
 				e.markAndPush(c, tr)
 			}
 		}
-		e.stats.rescans.Add(1)
+		e.stats.Rescans.Add(1)
 	}
 }
 
@@ -938,10 +920,10 @@ func (e *Engine) scanRoots(tr *workpack.Tracer) {
 // equal scans times the per-object slot count.
 func (e *Engine) scanObject(a heapsim.Addr, tr *workpack.Tracer) bool {
 	if !e.arena.Alloc.TestAcquire(int(a)) {
-		e.stats.deferred.Add(1)
+		e.stats.Deferred.Add(1)
 		if !tr.PushDeferred(a) {
 			e.arena.Cards.DirtyCardAtomic(e.arena.Cards.CardOf(a))
-			e.stats.deferOverflows.Add(1)
+			e.stats.DeferOverflows.Add(1)
 		}
 		return false
 	}
@@ -950,7 +932,7 @@ func (e *Engine) scanObject(a heapsim.Addr, tr *workpack.Tracer) bool {
 			e.markAndPush(c, tr)
 		}
 	}
-	e.stats.scans.Add(1)
+	e.stats.Scans.Add(1)
 	return true
 }
 
@@ -964,31 +946,37 @@ func (e *Engine) scanObject(a heapsim.Addr, tr *workpack.Tracer) bool {
 // reports what was done and the progress formula compensates.
 func (e *Engine) payAllocTax(m *mutator, allocObjs int64) {
 	b := e.pacer.incrementBudget(e.now(), allocObjs)
-	var done int64
-	if b.Words > 0 {
-		var tr *workpack.Tracer
-		if m.local != nil {
-			tr = workpack.NewLocalTracer(m.local)
-		} else {
-			tr = workpack.NewTracer(e.pool)
-		}
-		led := e.mutatorLedger(m.id)
-		tr.SetLedger(led)
-		for done < b.Words {
-			a, ok := tr.Pop()
-			if !ok {
-				break
-			}
-			if e.scanObject(a, tr) {
-				led.NoteTraced(int64(e.arena.refsPer))
-				e.stats.traceMutatorWords.Add(int64(e.arena.refsPer))
-				done++
-			}
-		}
-		tr.Release()
+	e.pacer.endIncrement(e.repayTax(m, b.Words))
+}
+
+// repayTax drains up to budget objects from the work packets on m's behalf,
+// charging each scan to m's ledger and the mutator word counter, and
+// returns how many it scanned. A budget the pool cannot cover is underpaid.
+func (e *Engine) repayTax(m *mutator, budget int64) (done int64) {
+	if budget <= 0 {
+		return 0
 	}
-	e.pacer.endIncrement(done)
-	e.stats.pacedIncrements.Add(1)
+	var tr *workpack.Tracer
+	if m.local != nil {
+		tr = workpack.NewLocalTracer(m.local)
+	} else {
+		tr = workpack.NewTracer(e.pool)
+	}
+	led := e.mutatorLedger(m.id)
+	tr.SetLedger(led)
+	for done < budget {
+		a, ok := tr.Pop()
+		if !ok {
+			break
+		}
+		if e.scanObject(a, tr) {
+			led.NoteTraced(int64(e.arena.refsPer))
+			e.stats.TraceMutatorWords.Add(int64(e.arena.refsPer))
+			done++
+		}
+	}
+	tr.Release()
+	return done
 }
 
 // markAndPush claims an object with one atomic fetch-or and queues it for
@@ -999,10 +987,10 @@ func (e *Engine) markAndPush(c heapsim.Addr, tr *workpack.Tracer) {
 	if !e.arena.Mark.TestAndSetAtomic(int(c)) {
 		return
 	}
-	e.stats.marks.Add(1)
+	e.stats.Marks.Add(1)
 	if !tr.Push(c) {
 		e.arena.Cards.DirtyCardAtomic(e.arena.Cards.CardOf(c))
-		e.stats.overflows.Add(1)
+		e.stats.Overflows.Add(1)
 	}
 }
 
@@ -1108,7 +1096,7 @@ func (e *Engine) traceLoop(id int, bg bool) {
 				// finds the pool dry stamps the termination clock: the gap to
 				// the driver's TracingDone observation is the cycle's
 				// detection latency.
-				if e.markingActive.Load() && e.stats.scans.Load() > e.cycleScanBase.Load() {
+				if e.markingActive.Load() && e.stats.Scans.Load() > e.cycleScanBase.Load() {
 					e.firstDoneNs.CompareAndSwap(0, e.now())
 				}
 				seq := e.cycleSeq.Load()
@@ -1159,12 +1147,12 @@ func (e *Engine) chargeScan(led *workpack.Ledger, bg bool) {
 	words := int64(e.arena.refsPer)
 	led.NoteTraced(words)
 	if bg {
-		e.stats.traceBgWords.Add(words)
+		e.stats.TraceBgWords.Add(words)
 		if e.pacer != nil {
 			e.pacer.noteBackground(1)
 		}
 	} else {
-		e.stats.traceDedicatedWords.Add(words)
+		e.stats.TraceDedicatedWords.Add(words)
 		if e.pacer != nil {
 			e.pacer.noteTraced(1)
 		}

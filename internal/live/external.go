@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"mcgc/internal/heapsim"
@@ -82,19 +81,10 @@ func (mt *Mut) Alloc() (heapsim.Addr, bool) {
 	m.ops++
 	obj := m.takeFromCache()
 	if obj == heapsim.Nil {
-		m.e.stats.allocFailed.Add(1)
-		// Same degradation as the synthetic path: publish the part-filled
-		// batch (it may never fill on a full heap), signal for an early
-		// collection, cede the processor so the collector can free memory.
-		m.publish()
-		m.e.memPressure.Store(true)
-		runtime.Gosched()
+		m.allocFailed()
 		return heapsim.Nil, false
 	}
-	m.pending = append(m.pending, obj)
-	if len(m.pending) >= m.e.cfg.AllocBatch {
-		m.publish()
-	}
+	m.enqueue(obj)
 	return obj, true
 }
 

@@ -130,7 +130,7 @@ func (m *mutator) exit() {
 	if m.local != nil {
 		m.local.Flush()
 	}
-	m.e.stats.mutatorOps.Add(m.ops)
+	m.e.stats.MutatorOps.Add(m.ops)
 	m.exited.Store(true)
 	m.e.mu.Lock()
 	m.e.activeMuts--
@@ -176,7 +176,7 @@ func (m *mutator) maybeAck() {
 		// the batch above is published but the ack is withheld.
 		m.e.fi.fenceDelay.Stall()
 		m.ackEpoch.Store(epoch)
-		m.e.stats.forcedFences.Add(1)
+		m.e.stats.ForcedFences.Add(1)
 	}
 }
 
@@ -195,8 +195,8 @@ func (m *mutator) publish() {
 		}
 		m.e.arena.Alloc.SetAtomic(int(obj))
 	}
-	m.e.stats.objectsAllocated.Add(int64(len(m.pending)))
-	m.e.stats.allocFences.Add(1)
+	m.e.stats.ObjectsAllocated.Add(int64(len(m.pending)))
+	m.e.stats.AllocFences.Add(1)
 	m.pending = m.pending[:0]
 }
 
@@ -232,15 +232,7 @@ func (m *mutator) step() {
 func (m *mutator) doAlloc() {
 	obj := m.takeFromCache()
 	if obj == heapsim.Nil {
-		m.e.stats.allocFailed.Add(1)
-		// Allocation stall: publish the part-filled batch now — with the
-		// heap exhausted it may never fill, and an unpublished object would
-		// bounce through the deferred pool until the next handshake — then
-		// signal for an early collection and cede the processor so the
-		// collector can produce free memory (trigger-and-retry, not spin).
-		m.publish()
-		m.e.memPressure.Store(true)
-		runtime.Gosched()
+		m.allocFailed()
 		return
 	}
 	// Seed the new object with an edge into the existing graph half the
@@ -254,7 +246,26 @@ func (m *mutator) doAlloc() {
 	} else {
 		m.roots[m.rng.Intn(len(m.roots))].Store(uint32(obj))
 	}
-	m.pending = append(m.pending, obj)
+	m.enqueue(obj)
+}
+
+// allocFailed is the allocation-stall path of every allocating caller:
+// publish the part-filled batch now — with the heap exhausted it may never
+// fill, and an unpublished object would bounce through the deferred pool
+// until the next handshake — then signal for an early collection and cede
+// the processor so the collector can produce free memory (trigger-and-retry,
+// not spin).
+func (m *mutator) allocFailed() {
+	m.e.stats.AllocFailed.Add(1)
+	m.publish()
+	m.e.memPressure.Store(true)
+	runtime.Gosched()
+}
+
+// enqueue adds installed objects to the pending allocation batch and
+// publishes the batch once it is full.
+func (m *mutator) enqueue(objs ...heapsim.Addr) {
+	m.pending = append(m.pending, objs...)
 	if len(m.pending) >= m.e.cfg.AllocBatch {
 		m.publish()
 	}

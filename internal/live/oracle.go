@@ -143,8 +143,8 @@ func (e *Engine) oracleContext() string {
 			"cards dirty %d registered %d cleaned %d, marks %d scans %d deferred %d overflows %d",
 		occ, e.pool.TotalPackets(), e.pool.EntriesInUse(), e.fenceEpoch.Load(),
 		e.arena.Cards.CountDirtyAtomic(), cs.CardsRegistered.Load(), cs.CardsCleaned.Load(),
-		e.stats.marks.Load(), e.stats.scans.Load(), e.stats.deferred.Load(),
-		e.stats.overflows.Load())
+		e.stats.Marks.Load(), e.stats.Scans.Load(), e.stats.Deferred.Load(),
+		e.stats.Overflows.Load())
 }
 
 // collectGarbage lists every allocated, unmarked object and retracts its

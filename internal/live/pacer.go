@@ -61,7 +61,6 @@ type pacerSummary struct {
 	increments                int64
 	kFirst, kLast, kMin, kMax float64
 	correctiveMax             float64
-	kickoffs                  int
 }
 
 // livePacer wraps a pacing policy for concurrent use. It holds the Policy
@@ -142,7 +141,6 @@ func (lp *livePacer) kickoff(at int64) bool {
 		free:      lp.view.FreeWords(),
 		threshold: lp.p.KickoffThreshold(),
 	})
-	lp.sum.kickoffs++
 	return true
 }
 

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -11,140 +12,143 @@ import (
 )
 
 // engineStats are the counters shared by mutator, tracer and driver
-// goroutines; everything here is atomic. Driver-only measurements (pauses,
-// per-cycle oracle results) go straight into the Report.
+// goroutines; everything here is atomic. Each field is named after the
+// Report field it fills (durations are nanoseconds), so finishReport copies
+// them all in one loop. Driver-only measurements (pauses, per-cycle oracle
+// results) go straight into the Report.
 type engineStats struct {
-	marks          atomic.Int64 // objects claimed grey
-	scans          atomic.Int64 // objects scanned from the pool
-	rescans        atomic.Int64 // objects rescanned by card cleaning
-	deferred       atomic.Int64 // unsafe objects pushed to the deferred pool
-	deferredDrains atomic.Int64 // DrainDeferred invocations that found work
-	deferOverflows atomic.Int64 // deferred pushes degraded to card dirtying
-	overflows      atomic.Int64 // pushes degraded to mark+dirty (Section 4.3)
-	cardPasses     atomic.Int64 // concurrent cleaning passes
+	Marks          atomic.Int64 // objects claimed grey
+	Scans          atomic.Int64 // objects scanned from the pool
+	Rescans        atomic.Int64 // objects rescanned by card cleaning
+	Deferred       atomic.Int64 // unsafe objects pushed to the deferred pool
+	DeferredDrains atomic.Int64 // DrainDeferred invocations that found work
+	DeferOverflows atomic.Int64 // deferred pushes degraded to card dirtying
+	Overflows      atomic.Int64 // pushes degraded to mark+dirty (Section 4.3)
+	CardPasses     atomic.Int64 // concurrent cleaning passes
 
-	markNs   atomic.Int64 // concurrent mark phase wall time
-	sweepNs  atomic.Int64 // concurrent sweep wall time
-	activeNs atomic.Int64 // full markingActive window (mark + STW final + oracle)
+	MarkTotal         atomic.Int64 // concurrent mark phase wall time
+	SweepTotal        atomic.Int64 // concurrent sweep wall time
+	TracerActiveTotal atomic.Int64 // full markingActive window (mark + STW final + oracle)
 
-	objectsAllocated atomic.Int64
-	objectsFreed     atomic.Int64
-	allocFailed      atomic.Int64
-	allocFences      atomic.Int64 // one per published batch (Section 5.2)
-	forcedFences     atomic.Int64 // one per mutator per handshake (5.3)
-	mutatorOps       atomic.Int64
+	ObjectsAllocated atomic.Int64
+	ObjectsFreed     atomic.Int64
+	AllocFailed      atomic.Int64
+	AllocFences      atomic.Int64 // one per published batch (Section 5.2)
+	ForcedFences     atomic.Int64 // one per mutator per handshake (5.3)
+	MutatorOps       atomic.Int64
 
-	pressureKicks atomic.Int64 // idle waits cut short by allocation pressure
-	rescanRedirty atomic.Int64 // card rescans re-dirtied for unpublished objects
+	PressureKicks   atomic.Int64 // idle waits cut short by allocation pressure
+	RescanRedirties atomic.Int64 // card rescans re-dirtied for unpublished objects
 
 	// Degradation-ladder counters (degrade.go): rung-1 blocked-allocation
 	// waits (and how many expired unfed), the total time spent blocked, and
 	// rung-2 emergency STW collections.
-	backpressureWaits    atomic.Int64
-	backpressureTimeouts atomic.Int64
-	backpressureNs       atomic.Int64
-	emergencyCycles      atomic.Int64
+	BackpressureWaits    atomic.Int64
+	BackpressureTimeouts atomic.Int64
+	BackpressureTotal    atomic.Int64
+	EmergencyCycles      atomic.Int64
 
 	// Per-party tracing attribution: each successful scanObject charges its
 	// slot words to exactly one of these, so their sum reconciles with
 	// scans times the per-object slot count.
-	traceMutatorWords   atomic.Int64 // scans paid as mutator allocation tax
-	traceBgWords        atomic.Int64 // scans by throttled background tracers
-	traceDedicatedWords atomic.Int64 // scans by dedicated tracers
+	TraceMutatorWords   atomic.Int64 // scans paid as mutator allocation tax
+	TraceBgWords        atomic.Int64 // scans by throttled background tracers
+	TraceDedicatedWords atomic.Int64 // scans by dedicated tracers
 
-	kickoffs        atomic.Int64 // cycles started by the kickoff formula
-	pacedIncrements atomic.Int64 // allocation increments that consulted the pacer
+	Kickoffs atomic.Int64 // cycles started by the kickoff formula
 }
 
-// Report is what one Engine.Run hands back.
+// Report is what one Engine.Run hands back. A field tagged metric:"name" is
+// written to the run's registry as the counter of that name at the end of
+// every run (durations in nanoseconds).
 type Report struct {
-	Cycles     int
-	MutatorOps int64
+	Cycles     int   `metric:"live.cycles"`
+	MutatorOps int64 `metric:"live.mutator_ops"`
 
-	ObjectsAllocated int64
-	ObjectsFreed     int64
-	AllocFailed      int64
+	ObjectsAllocated int64 `metric:"live.objects_allocated"`
+	ObjectsFreed     int64 `metric:"live.objects_freed"`
+	AllocFailed      int64 `metric:"live.alloc_failed"`
 
-	Marks    int64
-	Scans    int64
-	Rescans  int64
-	Deferred int64
+	Marks    int64 `metric:"live.marks"`
+	Scans    int64 `metric:"live.scans"`
+	Rescans  int64 `metric:"live.rescans"`
+	Deferred int64 `metric:"live.deferred"`
 
 	DeferredDrains int64
-	Overflows      int64
+	Overflows      int64 `metric:"gc.overflows"`
 	DeferOverflows int64
-	CardPasses     int64
+	CardPasses     int64 `metric:"gc.card_passes"`
 
-	CardsRegistered int64
-	CardsCleaned    int64
-	BarrierMarks    int64
+	CardsRegistered int64 `metric:"cards.registered"`
+	CardsCleaned    int64 `metric:"cards.cleaned"`
+	BarrierMarks    int64 `metric:"cards.barrier_marks"`
 
-	AllocFences  int64
-	ForcedFences int64
+	AllocFences  int64 `metric:"gc.alloc_fences"`
+	ForcedFences int64 `metric:"gc.forced_fences"`
 
-	PoolCASRetries     int64
-	FreeListRetries    int64
-	PoolMaxInUse       int64
-	PoolReturnFences   int64
+	PoolCASRetries     int64 `metric:"pool.cas_retries"`
+	FreeListRetries    int64 `metric:"live.freelist_retries"`
+	PoolMaxInUse       int64 `metric:"pool.max_in_use"`
+	PoolReturnFences   int64 `metric:"pool.return_fences"`
 	TracerSwapFallback int64
 
 	// Sharding-tier counters: the local packet caches (hits, steals from
 	// sibling caches, batch spills to the global pool), the free-list
 	// shards (batch pops served by a non-home shard) and the write-barrier
 	// card buffers (non-empty flushes).
-	PoolLocalHits     int64
-	PoolSteals        int64
-	PoolSpills        int64
+	PoolLocalHits     int64 `metric:"pool.local_hits"`
+	PoolSteals        int64 `metric:"pool.steals"`
+	PoolSpills        int64 `metric:"pool.spills"`
 	PoolRefills       int64
-	ArenaShardSteals  int64
-	CardBufferFlushes int64
+	ArenaShardSteals  int64 `metric:"arena.shard_steals"`
+	CardBufferFlushes int64 `metric:"card.buffer_flushes"`
 
 	LiveAtEnd     int
-	FloatingTotal int64
+	FloatingTotal int64 `metric:"live.floating_total"`
 	FloatingMax   int64
-	LostObjects   int64
+	LostObjects   int64 `metric:"live.lost_objects"`
 	// Violations holds the first few oracle findings verbatim (empty on a
 	// correct run).
 	Violations []string
 
 	STWCount   int
-	STWTotal   time.Duration
-	STWMax     time.Duration
-	MarkTotal  time.Duration // concurrent mark phases
+	STWTotal   time.Duration `metric:"live.stw_ns_total"`
+	STWMax     time.Duration `metric:"live.stw_ns_max"`
+	MarkTotal  time.Duration `metric:"live.mark_ns_total"` // concurrent mark phases
 	SweepTotal time.Duration
 	// TracerActiveTotal is the full markingActive window — concurrent mark
 	// plus STW final and the oracle — during which tracers may accrue idle
-	// time. It is the denominator of the -balance idle fraction.
-	TracerActiveTotal time.Duration
+	// time. It is the denominator of the gcstats balance idle fraction.
+	TracerActiveTotal time.Duration `metric:"live.tracer_active_ns_total"`
 
 	// PressureKicks counts idle periods cut short because a mutator hit
 	// allocation failure and signalled for an early collection.
-	PressureKicks int64
+	PressureKicks int64 `metric:"live.pressure_kicks"`
 
 	// Degradation-ladder results. BackpressureWaits counts rung-1 blocked
 	// allocations (BackpressureTimeouts of which expired without memory);
 	// BackpressureTotal is the summed stall time. EmergencyCycles counts
 	// rung-2 synchronous full STW collections. TimeOK/TimeBackpressure/
 	// TimeEmergency is the run's wall time split by ladder state.
-	BackpressureWaits    int64
-	BackpressureTimeouts int64
-	BackpressureTotal    time.Duration
-	EmergencyCycles      int64
-	TimeOK               time.Duration
-	TimeBackpressure     time.Duration
-	TimeEmergency        time.Duration
+	BackpressureWaits    int64         `metric:"gc.backpressure_waits"`
+	BackpressureTimeouts int64         `metric:"gc.backpressure_timeouts"`
+	BackpressureTotal    time.Duration `metric:"gc.backpressure_ns"`
+	EmergencyCycles      int64         `metric:"gc.emergency_cycles"`
+	TimeOK               time.Duration `metric:"gc.deg_ok_ns"`
+	TimeBackpressure     time.Duration `metric:"gc.deg_backpressure_ns"`
+	TimeEmergency        time.Duration `metric:"gc.deg_emergency_ns"`
 	// DirectDirties is the card table's count of degradation-path dirtying
 	// (DirtyCardAtomic); it must reconcile with Overflows + DeferOverflows +
 	// RescanRedirties, the engine-side counts of the same three callers.
-	DirectDirties   int64
-	RescanRedirties int64
+	DirectDirties   int64 `metric:"cards.direct_dirties"`
+	RescanRedirties int64 `metric:"live.rescan_redirties"`
 
 	// Per-party tracing attribution (the counters behind trace.mutator_words
 	// / trace.bg_words / trace.dedicated_words): TraceMutatorWords +
 	// TraceBgWords + TraceDedicatedWords == Scans * RefsPerObject.
-	TraceMutatorWords   int64
-	TraceBgWords        int64
-	TraceDedicatedWords int64
+	TraceMutatorWords   int64 `metric:"trace.mutator_words"`
+	TraceBgWords        int64 `metric:"trace.bg_words"`
+	TraceDedicatedWords int64 `metric:"trace.dedicated_words"`
 
 	// Pacing (Section 3) results; meaningful when PacingEnabled.
 	// PacingPolicy names the policy in charge ("formula", "slo", "none").
@@ -189,7 +193,7 @@ func (e *Engine) noteSTW(start, end int64) {
 	if d > e.report.STWMax {
 		e.report.STWMax = d
 	}
-	// Same gauge name as the simulator backend, so gcstats -metrics computes
+	// Same gauge name as the simulator backend, so gcstats metrics computes
 	// pause percentiles and MMU for live runs unchanged.
 	e.cfg.Reg.Gauge("gc.pause_ns").Sample(vtime.Time(start), float64(end-start))
 }
@@ -207,44 +211,20 @@ func (e *Engine) noteCycle(res OracleResult, freed int, at int64) {
 
 func (e *Engine) finishReport() {
 	r := &e.report
-	s := &e.stats
-	r.MutatorOps = s.mutatorOps.Load()
-	r.ObjectsAllocated = s.objectsAllocated.Load()
-	r.ObjectsFreed = s.objectsFreed.Load()
-	r.AllocFailed = s.allocFailed.Load()
-	r.Marks = s.marks.Load()
-	r.Scans = s.scans.Load()
-	r.Rescans = s.rescans.Load()
-	r.Deferred = s.deferred.Load()
-	r.DeferredDrains = s.deferredDrains.Load()
-	r.Overflows = s.overflows.Load()
-	r.DeferOverflows = s.deferOverflows.Load()
-	r.CardPasses = s.cardPasses.Load()
-	r.AllocFences = s.allocFences.Load()
-	r.ForcedFences = s.forcedFences.Load()
-	r.MarkTotal = time.Duration(s.markNs.Load())
-	r.SweepTotal = time.Duration(s.sweepNs.Load())
-	r.TracerActiveTotal = time.Duration(s.activeNs.Load())
-
-	r.PressureKicks = s.pressureKicks.Load()
-	r.RescanRedirties = s.rescanRedirty.Load()
-
-	r.BackpressureWaits = s.backpressureWaits.Load()
-	r.BackpressureTimeouts = s.backpressureTimeouts.Load()
-	r.BackpressureTotal = time.Duration(s.backpressureNs.Load())
-	r.EmergencyCycles = s.emergencyCycles.Load()
+	// Every engineStats atomic fills the Report field of the same name.
+	sv, rv := reflect.ValueOf(&e.stats).Elem(), reflect.ValueOf(r).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		v := sv.Field(i).Addr().Interface().(*atomic.Int64).Load()
+		rv.FieldByName(sv.Type().Field(i).Name).SetInt(v)
+	}
 	inState, _ := e.deg.snapshot(e.now())
 	r.TimeOK = time.Duration(inState[DegOK])
 	r.TimeBackpressure = time.Duration(inState[DegBackpressure])
 	r.TimeEmergency = time.Duration(inState[DegEmergency])
 
-	r.TraceMutatorWords = s.traceMutatorWords.Load()
-	r.TraceBgWords = s.traceBgWords.Load()
-	r.TraceDedicatedWords = s.traceDedicatedWords.Load()
 	if e.pacer != nil {
 		r.PacingEnabled = true
 		r.PacingPolicy = pacing.Name(e.pacer.policy())
-		r.Kickoffs = s.kickoffs.Load()
 		sum := e.pacer.summary()
 		r.PacedIncrements = sum.increments
 		r.KFirst, r.KLast = sum.kFirst, sum.kLast

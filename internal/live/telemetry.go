@@ -1,6 +1,8 @@
 package live
 
 import (
+	"reflect"
+
 	"mcgc/internal/telemetry"
 	"mcgc/internal/vtime"
 )
@@ -9,7 +11,7 @@ import (
 // since Run started (the vtime axis of the sinks is just "ns"). Only the
 // driver goroutine records, so the unsynchronized Registry/Timeline
 // contract holds. Spans are recorded at completion time, which puts an
-// enclosing span (cycle) after its children in the file — gcstats -check
+// enclosing span (cycle) after its children in the file — gcstats check
 // orders and nests per track rather than assuming file order.
 const (
 	gcTrack   = telemetry.GlobalTrackBase     // cycle + phase spans
@@ -60,9 +62,10 @@ func (e *Engine) samplePacingKickoff(at int64) {
 		telemetry.Arg{Key: "target_objs", Val: threshold})
 }
 
-// flushTelemetry copies the end-of-run report counters into the registry,
-// mirroring the names the simulator backend emits where the concept is the
-// same (pool.*, cards.*) and using live.* for engine-only counters.
+// flushTelemetry copies the end-of-run report counters into the registry:
+// every metric-tagged Report field, then the counters only some runs carry.
+// Names mirror the simulator backend where the concept is the same (pool.*,
+// cards.*) and use live.* for engine-only counters.
 func (e *Engine) flushTelemetry() {
 	reg := e.cfg.Reg
 	if reg == nil {
@@ -70,47 +73,15 @@ func (e *Engine) flushTelemetry() {
 	}
 	r := &e.report
 	set := func(name string, v int64) { reg.Counter(name).Set(v) }
-	// run.vtime_ns is what gcstats -metrics divides pauses by for MMU; the
+	// run.vtime_ns is what gcstats metrics divides pauses by for MMU; the
 	// live engine's "virtual" time is wall time since Run started.
 	set("run.vtime_ns", e.now())
-	set("live.cycles", int64(r.Cycles))
-	set("live.mutator_ops", r.MutatorOps)
-	set("live.objects_allocated", r.ObjectsAllocated)
-	set("live.objects_freed", r.ObjectsFreed)
-	set("live.alloc_failed", r.AllocFailed)
-	set("live.marks", r.Marks)
-	set("live.scans", r.Scans)
-	set("live.rescans", r.Rescans)
-	set("live.deferred", r.Deferred)
-	set("live.lost_objects", r.LostObjects)
-	set("live.floating_total", r.FloatingTotal)
-	set("live.stw_ns_total", r.STWTotal.Nanoseconds())
-	set("live.stw_ns_max", r.STWMax.Nanoseconds())
-	// The concurrent-mark wall total is what -balance divides idle time by.
-	set("live.mark_ns_total", r.MarkTotal.Nanoseconds())
-	set("live.tracer_active_ns_total", r.TracerActiveTotal.Nanoseconds())
-	set("gc.overflows", r.Overflows)
-	set("gc.card_passes", r.CardPasses)
-	set("gc.forced_fences", r.ForcedFences)
-	set("gc.alloc_fences", r.AllocFences)
-	set("cards.registered", r.CardsRegistered)
-	set("cards.cleaned", r.CardsCleaned)
-	set("cards.barrier_marks", r.BarrierMarks)
-	set("pool.cas_retries", r.PoolCASRetries)
-	set("pool.return_fences", r.PoolReturnFences)
-	set("pool.max_in_use", r.PoolMaxInUse)
-	set("pool.local_hits", r.PoolLocalHits)
-	set("pool.steals", r.PoolSteals)
-	set("pool.spills", r.PoolSpills)
-	set("arena.shard_steals", r.ArenaShardSteals)
-	set("card.buffer_flushes", r.CardBufferFlushes)
-	set("live.freelist_retries", r.FreeListRetries)
-	set("live.pressure_kicks", r.PressureKicks)
-	set("cards.direct_dirties", r.DirectDirties)
-	set("live.rescan_redirties", r.RescanRedirties)
-	set("trace.mutator_words", r.TraceMutatorWords)
-	set("trace.bg_words", r.TraceBgWords)
-	set("trace.dedicated_words", r.TraceDedicatedWords)
+	rv := reflect.ValueOf(r).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if name := rv.Type().Field(i).Tag.Get("metric"); name != "" {
+			set(name, rv.Field(i).Int())
+		}
+	}
 	if e.pacer != nil {
 		set("gc.kickoffs", r.Kickoffs)
 		set("gc.increments", r.PacedIncrements)
@@ -139,16 +110,9 @@ func (e *Engine) flushTelemetry() {
 		set("gc.slo.over_target", r.SLOOverTarget)
 		reg.Gauge("gc.slo.bg_factor").Sample(vtime.Time(e.now()), r.SLOBgFactor)
 	}
-	// Degradation ladder: counters, time-in-state, the state gauge (one
-	// sample per transition, starting at ok) and the backpressure stall
-	// distribution — everything gcstats -degradation reads back.
-	set("gc.backpressure_ns", r.BackpressureTotal.Nanoseconds())
-	set("gc.backpressure_waits", r.BackpressureWaits)
-	set("gc.backpressure_timeouts", r.BackpressureTimeouts)
-	set("gc.emergency_cycles", r.EmergencyCycles)
-	set("gc.deg_ok_ns", r.TimeOK.Nanoseconds())
-	set("gc.deg_backpressure_ns", r.TimeBackpressure.Nanoseconds())
-	set("gc.deg_emergency_ns", r.TimeEmergency.Nanoseconds())
+	// Degradation ladder beyond its tagged counters: the enabled flag, the
+	// state gauge (one sample per transition, starting at ok) and the
+	// backpressure stall distribution — what gcstats degradation reads back.
 	if e.cfg.Ladder.Enabled {
 		set("gc.ladder_enabled", 1)
 	}
@@ -170,7 +134,7 @@ func (e *Engine) flushTelemetry() {
 	}
 	e.flushWorkerTelemetry()
 	// Per-site fault-injection counters, so a chaos run's metrics file records
-	// which faults actually fired (gcstats -metrics prints them; chaos-smoke
+	// which faults actually fired (gcstats metrics prints them; chaos-smoke
 	// asserts them nonzero).
 	for _, p := range r.Faults {
 		set("fault."+p.Name+".hits", p.Hits)

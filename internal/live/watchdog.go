@@ -51,9 +51,9 @@ func (e *Engine) traceProgress() int64 {
 	s := &e.stats
 	ps := &e.pool.Stats
 	ls := e.pool.LocalStatsSum()
-	stamp := s.marks.Load() + s.scans.Load() + s.rescans.Load() +
-		s.deferred.Load() + s.deferredDrains.Load() +
-		s.overflows.Load() + s.deferOverflows.Load() +
+	stamp := s.Marks.Load() + s.Scans.Load() + s.Rescans.Load() +
+		s.Deferred.Load() + s.DeferredDrains.Load() +
+		s.Overflows.Load() + s.DeferOverflows.Load() +
 		ps.Gets.Load() + ps.Puts.Load() +
 		// Local-tier traffic is progress too: a tracer living entirely off
 		// its cache (hits) or off siblings (steals) never touches the
@@ -119,9 +119,9 @@ func (e *Engine) wedgeDiagnosis(phase string) string {
 
 	s := &e.stats
 	fmt.Fprintf(&b, "  trace: marks %d  scans %d  rescans %d  deferred %d (drains %d)  overflows %d (defer %d)\n",
-		s.marks.Load(), s.scans.Load(), s.rescans.Load(),
-		s.deferred.Load(), s.deferredDrains.Load(),
-		s.overflows.Load(), s.deferOverflows.Load())
+		s.Marks.Load(), s.Scans.Load(), s.Rescans.Load(),
+		s.Deferred.Load(), s.DeferredDrains.Load(),
+		s.Overflows.Load(), s.DeferOverflows.Load())
 
 	fmt.Fprintf(&b, "  fence: epoch %d; acks", e.fenceEpoch.Load())
 	for _, m := range e.muts {
@@ -156,8 +156,8 @@ func (e *Engine) wedgeDiagnosis(phase string) string {
 		e.arena.NumFreeShards(), e.arena.ShardSteals())
 	fmt.Fprintf(&b, "  ladder: state %s  waiters %d  bp waits %d (timeouts %d)  emergency cycles %d\n",
 		e.DegradationState(), e.deg.activeWaiters(),
-		e.stats.backpressureWaits.Load(), e.stats.backpressureTimeouts.Load(),
-		e.stats.emergencyCycles.Load())
+		e.stats.BackpressureWaits.Load(), e.stats.BackpressureTimeouts.Load(),
+		e.stats.EmergencyCycles.Load())
 
 	if snap := e.cfg.Faults.Snapshot(); len(snap) > 0 {
 		fmt.Fprintf(&b, "  faults (spec %q seed %d):", e.cfg.Faults.String(), e.cfg.Faults.Seed())

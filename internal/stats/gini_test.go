@@ -73,7 +73,7 @@ func TestGiniOrderInvariantAndNonMutating(t *testing.T) {
 }
 
 func TestGiniStarvedWorkerVisible(t *testing.T) {
-	// The reason -balance carries Gini next to max/mean: a starved worker is
+	// The reason gcstats balance carries Gini next to max/mean: a starved worker is
 	// a min-side outlier, invisible to max/mean but not to Gini.
 	even := []float64{100, 100, 100, 100}
 	starved := []float64{100, 100, 100, 0}
